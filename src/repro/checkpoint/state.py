@@ -281,7 +281,6 @@ def capture_machine_state(machine) -> Dict[str, Any]:
     }
     host: Dict[str, Any] = {
         "wall_seconds": _raw(machine.stats.wall_seconds),
-        "engine_kernel": machine.engine_kernel,
     }
     if machine.telemetry is not None:
         host["telemetry"] = summarize(machine.telemetry.snapshot())

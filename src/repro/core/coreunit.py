@@ -142,9 +142,9 @@ class CoreUnit:
     def inbox_pop_earliest(self) -> Message:
         """Next message in arrival-timestamp order (FIFO among ties).
 
-        Falls back to a linear scan when the heap is disabled — this is
-        the legacy deque path, kept selectable so equivalence between the
-        two implementations stays testable.
+        Cores without ``track_arrivals`` (their policy never consumes
+        in arrival order) answer with a linear scan of the deque; the
+        inbox property tests pin the heap against this scan.
         """
         inbox = self.inbox
         self._soa.inbox_len[self.cid] -= 1

@@ -157,15 +157,15 @@ class SpatialSync(SyncPolicy):
         if not fabric.active[cid]:
             return True
         if fabric._floor_cache_on:
-            # Cached-floor fast path (vectorized/compiled kernels): the
-            # cache holds a lower bound on the drift floor, so a pass
-            # against the bound implies a pass against the true floor
-            # (the comparison uses the exact same float expression, and
+            # Cached-floor fast path (fast shadow mode): the cache holds
+            # a lower bound on the drift floor, so a pass against the
+            # bound implies a pass against the true floor (the
+            # comparison uses the exact same float expression, and
             # x <= lb + T + eps with lb <= floor implies
             # x <= floor + T + eps by IEEE monotonicity).  On a miss the
             # exact floor is re-derived, cached, and re-tested — so
             # admissions, and the lock-waiver accounting below, are
-            # bit-identical to the reference path.
+            # bit-identical to deriving the floor on every call.
             if fabric.vtime[cid] <= fabric._floor_lb[cid] + fabric.T + 1e-9:
                 return True
             nbrs = fabric._neighbors[cid]

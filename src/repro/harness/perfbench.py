@@ -370,21 +370,6 @@ def run_suite(
     return results
 
 
-def effective_kernel() -> str:
-    """The engine kernel a default-config run in this process would use.
-
-    Resolves "auto" (environment override or "vectorized") and the
-    compiled->vectorized toolchain fallback, so the recorded value names
-    the kernel that actually executed the suite.
-    """
-    from ..arch.builder import resolve_engine_kernel
-    from ..arch.config import ArchConfig
-    from ..core.kernels import resolve_kernel
-
-    kernel, _note = resolve_kernel(resolve_engine_kernel(ArchConfig()))
-    return kernel
-
-
 def make_record(
     results: Dict[str, Dict[str, float]],
     baseline: Optional[Dict] = None,
@@ -397,9 +382,6 @@ def make_record(
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
-        # Throughput numbers are only comparable within one kernel;
-        # check_regression.py refuses to gate across a mismatch.
-        "engine_kernel": effective_kernel(),
         "repeat": repeat,
         # Sharded-backend entries only beat their serial counterparts
         # with real parallel hardware; record what this host had.

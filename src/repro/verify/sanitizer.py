@@ -13,11 +13,19 @@ run executes the exact production hot paths.  What it asserts:
     reference semantics on every admission.  Lock holders are exempt
     (the paper's Section II-B waiver) and so are forced waiver slices
     (the sharded escalation ladder's counted accuracy concession).
+``floor-cache``
+    While the fabric's floor cache is armed (fast shadow mode), every
+    ``may_run`` on an active core asserts the cached bound is still a
+    *lower* bound: ``fabric._floor_lb[cid] <= fabric.floor(cid)``.  The
+    cached admission is only sound under that invariant.
 ``publish``
     After every ``fabric.advance``/``fabric.commit``: an active core's
     published time covers its virtual time, and published times never
     regress (fast shadow mode publishes monotonically; a revoked
-    permission could wedge neighbours that already ran under it).
+    permission could wedge neighbours that already ran under it).  The
+    one sanctioned exception is the engine's no-runnable rescue
+    (``fabric.refresh_shadows``), which restores the exact shadow
+    fixpoint while no core runs; the check re-baselines after it.
 ``causal-delivery`` / ``fifo-delivery``
     Every NoC arrival satisfies ``arrival >= depart + min_latency`` and
     arrivals on one directed ``(src, dst)`` channel never regress.
@@ -107,7 +115,19 @@ class Sanitizer:
 
             def may_run(core):
                 ok = orig_may_run(core)
-                if (ok and not self._in_waiver and fabric.active[core.cid]
+                cid = core.cid
+                if fabric._floor_cache_on and fabric.active[cid]:
+                    checks["floor-cache"] += 1
+                    lb = fabric._floor_lb[cid]
+                    floor = fabric.floor(cid)
+                    if not lb <= floor:
+                        self._violate(
+                            "floor-cache",
+                            f"core {cid} cached floor bound {lb!r} above "
+                            f"its drift floor {floor!r}",
+                            core=cid, vtime=fabric.vtime[cid], bound=floor,
+                            floor_lb=lb)
+                if (ok and not self._in_waiver and fabric.active[cid]
                         and core.locks_held == 0):
                     checks["drift-admission"] += 1
                     if not fabric.drift_ok(core.cid):
@@ -156,6 +176,20 @@ class Sanitizer:
 
         fabric.advance = advance
         fabric.commit = commit
+
+        # The engine's no-runnable rescue restores the exact shadow
+        # fixpoint, which may *lower* fast-mode shadows by design (no
+        # core runs while it happens); re-baseline what it lowered.
+        orig_refresh = fabric.refresh_shadows
+
+        def refresh_shadows():
+            orig_refresh()
+            seen = self._pub_seen
+            for cid, pub in enumerate(fabric.published):
+                if pub < seen[cid]:
+                    seen[cid] = pub
+
+        fabric.refresh_shadows = refresh_shadows
 
         # 3. Causal + per-channel-FIFO delivery at the NoC.
         orig_delivery = noc.delivery_time

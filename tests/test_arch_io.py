@@ -45,6 +45,12 @@ class TestConfigJson:
         with pytest.raises(SimConfigError):
             config_from_json('{"n_cores": 4, "warp_drive": true}')
 
+    @pytest.mark.parametrize("key,value", [
+        ("engine_kernel", '"python"'), ("inbox_heap", "false")])
+    def test_retired_fields_rejected(self, key, value):
+        with pytest.raises(SimConfigError, match=key):
+            config_from_json(f'{{"n_cores": 4, "{key}": {value}}}')
+
     def test_invalid_values_still_validated(self):
         with pytest.raises(SimConfigError):
             config_from_json('{"memory": "quantum"}')

@@ -1,7 +1,7 @@
 """Split-run equivalence of the checkpoint subsystem.
 
 The correctness contract under test (docs/checkpoint.md): for any
-workload x backend x engine kernel,
+workload x backend x sync policy,
 
     run(0..end)  ==  run(0..k); snapshot; restore; run(k..end)
 
@@ -53,9 +53,9 @@ def det(outcome):
 
 
 class TestSerialSplitRun:
-    @pytest.mark.parametrize("kernel", ["python", "vectorized", "compiled"])
-    def test_split_equals_straight_under_every_kernel(self, kernel):
-        cfg = serial_cfg(engine_kernel=kernel)
+    @pytest.mark.parametrize("sync", ["spatial", "conservative", "laxp2p"])
+    def test_split_equals_straight_per_policy(self, sync):
+        cfg = serial_cfg(sync=sync)
         straight = run_straight(cfg, QUICKSORT)
         snap, chk, resumed = split_run(cfg, QUICKSORT,
                                        straight["completion"] * 0.4)

@@ -217,16 +217,22 @@ class TestRngStreamRoundTrip:
         assert list(rng.random(16)) == list(clone.random(16))
 
 
-def _run_partial(inbox_heap, stop, sync="spatial"):
-    """Stop a messaging-heavy run mid-flight so inboxes hold content."""
+def _run_partial(stop, sync="spatial", heap=True):
+    """Stop a messaging-heavy run mid-flight so inboxes hold content.
+
+    ``heap=False`` turns the arrival-ordered inbox heap off on every
+    core, leaving the deque and its linear earliest-arrival scans.
+    """
     import dataclasses
 
     from repro.arch import build_machine, shared_mesh
     from repro.verify.fuzz_roots import echo, pingpong
 
-    cfg = dataclasses.replace(shared_mesh(9), inbox_heap=inbox_heap,
-                              sync=sync, seed=3)
+    cfg = dataclasses.replace(shared_mesh(9), sync=sync, seed=3)
     machine = build_machine(cfg)
+    if not heap:
+        for core in machine.cores:
+            core.track_arrivals = False
     machine.run_roots(
         [(pingpong(peer=5, rounds=4).root, (), 0),
          (echo(rounds=4).root, (), 5)],
@@ -235,10 +241,11 @@ def _run_partial(inbox_heap, stop, sync="spatial"):
 
 
 class TestStateCaptures:
-    @pytest.mark.parametrize("sync", ["spatial", "conservative"])
-    @pytest.mark.parametrize("inbox_heap", [False, True])
-    def test_inbox_capture_round_trips(self, inbox_heap, sync):
-        machine = _run_partial(inbox_heap, stop=40.0, sync=sync)
+    # Spatial sync keeps deque-only inboxes; conservative and laxp2p
+    # also keep the arrival-ordered heap.
+    @pytest.mark.parametrize("sync", ["spatial", "conservative", "laxp2p"])
+    def test_inbox_capture_round_trips(self, sync):
+        machine = _run_partial(stop=40.0, sync=sync)
         cap = capture_machine_state(machine)
         det = cap["det"]
         assert det["live_tasks"] == machine.live_tasks
@@ -256,9 +263,9 @@ class TestStateCaptures:
         # layout is part of the machine — and each capture must verify
         # only against its own layout.
         cap_deque = capture_machine_state(
-            _run_partial(False, 40.0, sync="conservative"))
+            _run_partial(40.0, sync="conservative", heap=False))
         cap_heap = capture_machine_state(
-            _run_partial(True, 40.0, sync="conservative"))
+            _run_partial(40.0, sync="conservative"))
         assert any(c["inbox_heap"] for c in cap_heap["det"]["cores"])
         assert not any(c["inbox_heap"] for c in cap_deque["det"]["cores"])
         with pytest.raises(Exception):
@@ -285,7 +292,7 @@ class TestStateCaptures:
         assert encode(decode(encode(cap["det"]))) == encode(cap["det"])
 
     def test_mismatch_is_detected_and_named(self):
-        machine = _run_partial(True, 40.0)
+        machine = _run_partial(40.0)
         cap = capture_machine_state(machine)
         other = decode(encode(cap["det"]))
         other["last_finish_time"] = (other.get("last_finish_time") or 0.0) + 1.0

@@ -14,11 +14,16 @@ from repro.workloads import BENCHMARKS, get_workload
 
 
 def run_once(name, cfg, seed):
+    return run_machine(name, cfg, seed)[1]
+
+
+def run_machine(name, cfg, seed):
+    """Run one workload; return the machine and its observables."""
     workload = get_workload(name, scale="tiny", seed=seed, memory=cfg.memory)
     machine = build_machine(cfg)
     result = machine.run(workload.root)
     stats = machine.stats
-    return {
+    return machine, {
         "vtime": result["work_vtime"],
         "output": result["output"],
         "tasks": stats.tasks_started,
@@ -63,11 +68,10 @@ def test_identical_reruns_with_stealing():
     assert run_once("octree", cfg, seed=0) == run_once("octree", cfg, seed=0)
 
 
-KERNELS = ("python", "vectorized", "compiled")
-
 #: Seeded configs spanning the sync policies, memory models and drift
-#: regimes whose admission decisions the kernels fast-path.
-KERNEL_SWEEP = [
+#: regimes whose admission decisions the engine fast-paths (cached drift
+#: floors, wave-batched floor priming).
+FAST_PATH_SWEEP = [
     ("quicksort", dataclasses.replace(shared_mesh(16)), 3),
     ("dijkstra", dataclasses.replace(dist_mesh(9)), 1),
     ("octree", dataclasses.replace(shared_mesh(16), sync="conservative"), 0),
@@ -79,25 +83,28 @@ KERNEL_SWEEP = [
 ]
 
 
-@pytest.mark.parametrize("case", range(len(KERNEL_SWEEP)),
+@pytest.mark.parametrize("case", range(len(FAST_PATH_SWEEP)),
                          ids=lambda i: "-".join(
-                             (KERNEL_SWEEP[i][0], KERNEL_SWEEP[i][1].sync,
-                              str(KERNEL_SWEEP[i][2]))))
-def test_engine_kernels_bit_identical(case):
-    """python/vectorized/compiled kernels agree on every observable.
+                             (FAST_PATH_SWEEP[i][0], FAST_PATH_SWEEP[i][1].sync,
+                              str(FAST_PATH_SWEEP[i][2]))))
+def test_sanitized_run_bit_identical(case):
+    """A sanitized run checks the shipped fast paths and changes nothing.
 
-    The SoA fast paths (cached drift floors, wave priming, native relax)
-    must be bit-identical to the reference loops — not merely close:
-    the golden numbers, trace digests and the differential fuzzer all
-    assume one canonical result per (config, seed).
+    The sanitizer cross-checks every drift admission and the cached
+    floor bound behind it; a violation raises, so completing the run
+    means zero violations.  Its observables must equal the plain run's
+    bit for bit: the golden numbers, trace digests and the differential
+    fuzzer all assume one canonical result per (config, seed).
     """
-    name, cfg, seed = KERNEL_SWEEP[case]
-    runs = {
-        kernel: run_once(
-            name, dataclasses.replace(cfg, engine_kernel=kernel), seed)
-        for kernel in KERNELS
-    }
-    assert runs["python"] == runs["vectorized"] == runs["compiled"]
+    name, cfg, seed = FAST_PATH_SWEEP[case]
+    plain = run_once(name, cfg, seed)
+    machine, checked = run_machine(
+        name, dataclasses.replace(cfg, sanitize=True), seed)
+    assert checked == plain
+    checks = machine.sanitizer.checks
+    if cfg.sync == "spatial":
+        assert checks["floor-cache"] > 0
+        assert checks["drift-admission"] > 0
 
 
 def test_machine_seed_controls_branch_sampling():

@@ -1,10 +1,9 @@
-"""Tests for the Amdahl fit and the generic parameter-sweep utility."""
+"""Tests for the Amdahl serial-fraction fit."""
 
 import pytest
 
 from repro.arch import shared_mesh
 from repro.harness import metrics
-from repro.harness.sweep import sweep, sweep_csv, sweep_table
 
 
 class TestAmdahlFit:
@@ -49,56 +48,3 @@ class TestAmdahlFit:
         predicted = 2 / math.log2(n)
         assert 0.3 * predicted < s < 4 * predicted
 
-
-class TestSweep:
-    def test_grid_product(self):
-        records = sweep(
-            "octree", shared_mesh(4),
-            {"drift_bound": [50.0, 500.0], "queue_capacity": [2, 4]},
-            scale="tiny",
-        )
-        assert len(records) == 4
-        combos = {(r["drift_bound"], r["queue_capacity"]) for r in records}
-        assert combos == {(50.0, 2), (50.0, 4), (500.0, 2), (500.0, 4)}
-        for record in records:
-            assert record["vtime"] > 0
-
-    def test_stats_metric(self):
-        records = sweep("octree", shared_mesh(4), {"drift_bound": [100.0]},
-                        scale="tiny", metric="drift_stalls")
-        assert "drift_stalls" in records[0]
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError):
-            sweep("octree", shared_mesh(4), {"warp": [1]}, scale="tiny")
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            sweep("octree", shared_mesh(4), {}, scale="tiny")
-
-    def test_table_pivot(self):
-        records = [
-            {"a": 1, "b": 10, "vtime": 100.0},
-            {"a": 1, "b": 20, "vtime": 200.0},
-            {"a": 2, "b": 10, "vtime": 300.0},
-            {"a": 2, "b": 20, "vtime": 400.0},
-        ]
-        out = sweep_table(records, rows="a", cols="b")
-        assert "b=10" in out and "b=20" in out
-        assert "400" in out
-
-    def test_table_missing_cell_nan(self):
-        records = [{"a": 1, "b": 10, "vtime": 1.0},
-                   {"a": 2, "b": 20, "vtime": 2.0}]
-        out = sweep_table(records, rows="a", cols="b")
-        assert "nan" in out
-
-    def test_csv(self):
-        records = [{"a": 1, "vtime": 10.5}]
-        out = sweep_csv(records)
-        assert out.splitlines()[0] == "a,vtime"
-        assert "10.5" in out
-
-    def test_csv_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_csv([])

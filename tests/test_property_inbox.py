@@ -5,10 +5,11 @@ Two contracts, checked across every sync policy:
 * **Per-source FIFO**: messages from one source to one destination are
   received in send order (the NoC's FIFO adjustment guarantees per-pair
   ordering; the inbox must preserve it through either pop path).
-* **Heap/deque equivalence**: running the same program on a machine with
-  ``inbox_heap=False`` (legacy linear earliest-arrival scans) must produce
-  bit-identical completion virtual time, message counts and drift stalls.
-  The heap is a data-structure change, not a semantics change.
+* **Heap/scan equivalence**: running the same program with every core's
+  ``track_arrivals`` turned off (linear earliest-arrival scans of the
+  deque) must produce bit-identical completion virtual time, message
+  counts and drift stalls.  The heap is a data-structure change, not a
+  semantics change.
 """
 
 import math
@@ -70,9 +71,12 @@ def _chatter_program(n_senders, n_msgs, jitter, received):
     return root
 
 
-def _run(policy, n_senders, n_msgs, jitter, inbox_heap):
+def _run(policy, n_senders, n_msgs, jitter, heap):
     received = []
-    machine = build_machine(shared_mesh(16, sync=policy, inbox_heap=inbox_heap))
+    machine = build_machine(shared_mesh(16, sync=policy))
+    if not heap:
+        for core in machine.cores:
+            core.track_arrivals = False
     final_t = machine.run(
         _chatter_program(n_senders, n_msgs, jitter, received))
     stats = machine.stats
@@ -96,8 +100,8 @@ def _run(policy, n_senders, n_msgs, jitter, inbox_heap):
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_inbox_heap_matches_deque_and_fifo(policy, n_senders, n_msgs, jitter):
-    with_heap = _run(policy, n_senders, n_msgs, jitter, inbox_heap=True)
-    without = _run(policy, n_senders, n_msgs, jitter, inbox_heap=False)
+    with_heap = _run(policy, n_senders, n_msgs, jitter, heap=True)
+    without = _run(policy, n_senders, n_msgs, jitter, heap=False)
 
     # Per-source FIFO delivery: indexes from one sender arrive in order.
     for result in (with_heap, without):
@@ -109,7 +113,7 @@ def test_inbox_heap_matches_deque_and_fifo(policy, n_senders, n_msgs, jitter):
             )
             last_seen[sender_id] = idx
 
-    # Bit-identical observables between the heap and the legacy scans.
+    # Bit-identical observables between the heap and the linear scans.
     assert with_heap["final_t"] == without["final_t"]
     assert math.isclose(
         with_heap["max_vtime"], without["max_vtime"], rel_tol=0, abs_tol=0)

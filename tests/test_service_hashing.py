@@ -3,7 +3,7 @@
 The content hash decides when a cached result may be served instead of
 re-simulating, so these tests pin its contract from both sides:
 semantically identical specs (field reordering, observation-only knobs,
-bit-identical kernel selection) must collide, and anything the
+labels) must collide, and anything the
 simulator treats as semantic (drift bound, sync policy, shard fences,
 workload identity) must separate.
 """
@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from repro.arch import ArchConfig, shared_mesh
+from repro.arch import ArchConfig, dist_mesh, shared_mesh
 from repro.arch.io import (NON_SEMANTIC_FIELDS, config_canonical_dict,
                            config_content_hash)
 from repro.service import SpecError, canonical_json, resolve_spec, spec_hash
@@ -37,18 +37,27 @@ class TestConfigIdentity:
         assert set(config_canonical_dict(ArchConfig())) == \
             fields - NON_SEMANTIC_FIELDS
 
+    @pytest.mark.parametrize("factory,n_cores,digest", [
+        (shared_mesh, 16,
+         "e1c97d6fa4015d94590885424c7a26ccef8948d0e81b3a93e133a4b6777eee28"),
+        (dist_mesh, 64,
+         "09e926dfe8c2d017d059bf30da2e4b9ff10bf9fdc2f022902f421f22492c9410"),
+    ])
+    def test_content_hashes_are_pinned(self, factory, n_cores, digest):
+        """Literal hashes of two presets: a change to the hashed field
+        set or its encoding would orphan every cached result, so it must
+        show up here as a deliberate edit."""
+        assert config_content_hash(factory(n_cores)) == digest
+
     def test_label_is_not_semantic(self):
         a = shared_mesh(16)
         b = dataclasses.replace(a, name="anything-else")
         assert config_content_hash(a) == config_content_hash(b)
 
     @pytest.mark.parametrize("field,value", [
-        ("engine_kernel", "python"),
-        ("engine_kernel", "compiled"),
         ("telemetry", "all"),
         ("sanitize", True),
         ("collect_trace", True),
-        ("inbox_heap", False),
         ("worker_start_method", "spawn"),
     ])
     def test_non_semantic_fields_do_not_change_hash(self, field, value):
